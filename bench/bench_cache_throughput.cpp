@@ -102,10 +102,12 @@ int main() {
   service::QueryService service(&device, sopts);
   const std::size_t dataset = service.RegisterDataset(&points, &polys);
   Executor* executor = service.dataset_executor(dataset);
-  // Warm the preprocessing caches so cold-vs-warm isolates the *result*
-  // cache, not first-query triangulation.
+  // Warm the polygon-side artifacts so cold-vs-warm isolates the *result*
+  // cache, not first-query triangulation or index builds.
+  SpatialAggQuery index_cpu;
+  index_cpu.variant = JoinVariant::kIndexCpu;
   (void)executor->GetTriangulation();
-  (void)executor->GetCpuIndex(1024);
+  (void)executor->WarmArtifacts(index_cpu);
 
   // Uncached ground truth through the very same executor.
   std::vector<std::vector<double>> expected;
@@ -196,7 +198,7 @@ int main() {
     service::QueryService sweep_service(&sweep_device, sopts);
     const std::size_t ds = sweep_service.RegisterDataset(&points, &polys);
     (void)sweep_service.dataset_executor(ds)->GetTriangulation();
-    (void)sweep_service.dataset_executor(ds)->GetCpuIndex(1024);
+    (void)sweep_service.dataset_executor(ds)->WarmArtifacts(index_cpu);
 
     Rng rng(12345 + static_cast<std::uint64_t>(p * 100));
     std::size_t next_distinct = 0;

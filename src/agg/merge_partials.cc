@@ -65,9 +65,7 @@ Result<MergedPartials> MergePartials(const std::vector<ShardPartial>& parts) {
 
   for (const ShardPartial& part : parts) {
     merged.counters = merged.counters.Plus(part.counters);
-    for (const auto& [name, seconds] : part.timing.phases()) {
-      merged.timing.Add(name, seconds);
-    }
+    merged.timing.Add(part.timing);
   }
   return merged;
 }

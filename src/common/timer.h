@@ -40,6 +40,11 @@ class PhaseTimer {
     phases_[name] += seconds;
   }
 
+  /// Adds every phase of `other`.
+  void Add(const PhaseTimer& other) {
+    for (const auto& [name, seconds] : other.phases_) phases_[name] += seconds;
+  }
+
   /// Total seconds recorded in `name` (0 if never recorded).
   double Get(const std::string& name) const {
     auto it = phases_.find(name);

@@ -156,8 +156,8 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
 
 Result<FusedJoinOutput> FusedAccurateRasterJoin(
     gpu::Device* device, const PointTable& points, const PolygonSet& polys,
-    const TriangleSoup& soup, const BBox& world,
-    const FusedJoinOptions& options,
+    const TriangleSoup& soup, const AccuratePolygonSide& side,
+    const BBox& world, const FusedJoinOptions& options,
     const std::vector<FusedMemberSpec>& members) {
   RJ_RETURN_NOT_OK(ValidateMembers(points, polys, members));
   for (const FusedMemberSpec& member : members) {
@@ -168,10 +168,7 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
   }
   const std::size_t m = members.size();
 
-  const std::int32_t dim = options.canvas_dim > 0
-                               ? options.canvas_dim
-                               : device->options().max_fbo_dim;
-  if (dim <= 0) return Status::InvalidArgument("canvas dimension must be > 0");
+  RJ_ASSIGN_OR_RETURN(const std::int32_t dim, AccurateCanvasDim(side));
   if (world.IsEmpty() || world.Width() <= 0 || world.Height() <= 0) {
     return Status::InvalidArgument("world extent is empty");
   }
@@ -183,24 +180,10 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
 
   raster::Viewport vp(world, dim, dim);
 
-  // The boundary FBO and grid index depend only on the polygons and the
-  // canvas — member-independent, built once for the group.
-  raster::FboLease boundary_lease = raster::FboPool::Shared().Acquire(dim, dim);
-  raster::Fbo& boundary_fbo = *boundary_lease;
-  {
-    ScopedPhase sp(&out.timing, phase::kProcessing);
-    raster::DrawBoundaries(vp, polys, /*conservative=*/true, &boundary_fbo,
-                           &device->counters(), &device->pool());
-  }
-  RJ_ASSIGN_OR_RETURN(
-      GridIndex index,
-      [&]() {
-        Timer t;
-        auto r = GridIndex::Build(polys, world, options.index_resolution,
-                                  GridAssignMode::kMbr);
-        out.timing.Add(phase::kIndexBuild, t.ElapsedSeconds());
-        return r;
-      }());
+  // The boundary canvas and grid index depend only on the polygons and the
+  // canvas — member-independent, shared by the whole group.
+  const raster::Fbo& boundary_fbo = *side.boundary;
+  const GridIndex& index = *side.index;
 
   std::vector<raster::FboLease> point_leases;
   point_leases.reserve(m);

@@ -31,6 +31,7 @@
 #include "agg/result_range.h"
 #include "gpu/device.h"
 #include "join/join_common.h"
+#include "join/raster_join_accurate.h"
 #include "raster/fbo.h"
 #include "raster/viewport.h"
 #include "triangulate/triangulation.h"
@@ -57,14 +58,9 @@ struct FusedMemberSpec {
 
 /// The group-wide half: what every member must share.
 struct FusedJoinOptions {
-  /// Hausdorff bound ε (bounded variant; defines the shared canvas).
+  /// Hausdorff bound ε (bounded variant; defines the shared canvas). The
+  /// accurate variant's canvas is its AccuratePolygonSide's.
   double epsilon = 10.0;
-
-  /// Canvas resolution (accurate variant; 0 = device max_fbo_dim).
-  std::int32_t canvas_dim = 0;
-
-  /// Grid-index resolution for boundary points (accurate variant).
-  std::int32_t index_resolution = 1024;
 
   /// Maximum points per device batch (0 = derive from memory budget).
   std::size_t batch_size = 0;
@@ -99,16 +95,17 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
     const FusedJoinOptions& options,
     const std::vector<FusedMemberSpec>& members);
 
-/// Accurate raster join (§4.3) for a fusion group: the boundary FBO and
-/// grid index are member-independent and built once; each boundary point's
+/// Accurate raster join (§4.3) for a fusion group over the caller-built
+/// polygon side (boundary canvas + grid index, member-independent and
+/// shared by the whole group, see AccuratePolygonSide); each boundary point's
 /// containing polygons are resolved once and accumulated into every
 /// matching member. PIP tests are metered once per boundary point (not per
 /// member) — shared work is the point of fusion; the diagnostic counter
 /// reflects tests actually executed.
 Result<FusedJoinOutput> FusedAccurateRasterJoin(
     gpu::Device* device, const PointTable& points, const PolygonSet& polys,
-    const TriangleSoup& soup, const BBox& world,
-    const FusedJoinOptions& options,
+    const TriangleSoup& soup, const AccuratePolygonSide& side,
+    const BBox& world, const FusedJoinOptions& options,
     const std::vector<FusedMemberSpec>& members);
 
 }  // namespace rj

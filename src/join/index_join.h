@@ -41,12 +41,12 @@ struct IndexJoinOptions {
   bool enable_block_pruning = true;
 
   /// Device flavour only: a caller-cached index to use instead of the
-  /// per-query build (Executor::GetDeviceIndex hoists the §6.2 rebuild out
-  /// of repeated traffic). Must have been built with GridIndex::Build over
-  /// the same polygons, world, `index_resolution`, and `assign_mode` — the
-  /// result is then bit-for-bit the per-query build's. The kIndexBuild
-  /// phase reports ~0 when set (the build happened elsewhere, once). Not
-  /// owned; must outlive the call.
+  /// per-query build (the Executor's query::PolygonArtifacts cache hoists
+  /// the §6.2 rebuild out of repeated traffic). Must have been built with
+  /// GridIndex::Build over the same polygons, world, `index_resolution`,
+  /// and `assign_mode` — the result is then bit-for-bit the per-query
+  /// build's. The kIndexBuild phase reports ~0 when set (the build happened
+  /// elsewhere, once). Not owned; must outlive the call.
   const GridIndex* prebuilt_index = nullptr;
 };
 

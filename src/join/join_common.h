@@ -26,6 +26,8 @@ inline constexpr const char* kTransfer = "transfer";      ///< host→device
 inline constexpr const char* kProcessing = "processing";  ///< device compute
 inline constexpr const char* kTriangulation = "triangulation";
 inline constexpr const char* kIndexBuild = "index_build";
+/// Accurate step 1: conservative boundary canvas (cold artifact builds).
+inline constexpr const char* kBoundary = "boundary";
 inline constexpr const char* kDiskRead = "disk_read";
 }  // namespace phase
 

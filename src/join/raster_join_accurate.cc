@@ -11,6 +11,33 @@
 
 namespace rj {
 
+Result<std::int32_t> AccurateCanvasDim(const AccuratePolygonSide& side) {
+  if (side.boundary == nullptr || side.index == nullptr) {
+    return Status::InvalidArgument(
+        "accurate join needs a boundary canvas and a grid index");
+  }
+  const std::int32_t dim = side.boundary->width();
+  if (dim <= 0 || side.boundary->height() != dim) {
+    return Status::InvalidArgument(
+        "boundary canvas must be square and non-empty");
+  }
+  return dim;
+}
+
+Result<std::int32_t> ResolveAccurateCanvasDim(std::int32_t requested,
+                                              std::int32_t max_fbo_dim) {
+  const std::int32_t dim = requested > 0 ? requested : max_fbo_dim;
+  if (dim <= 0) {
+    return Status::InvalidArgument("canvas dimension must be > 0");
+  }
+  if (dim > max_fbo_dim) {
+    return Status::InvalidArgument(
+        "canvas_dim " + std::to_string(dim) +
+        " exceeds the device's max_fbo_dim " + std::to_string(max_fbo_dim));
+  }
+  return dim;
+}
+
 namespace {
 
 /// The one execution core both public overloads reach (see
@@ -21,8 +48,8 @@ namespace {
 Result<JoinResult> AccurateBlockJoin(
     gpu::Device* device, const data::PointBlockSource& source,
     std::vector<std::size_t> scan, const PolygonSet& polys,
-    const TriangleSoup& soup, const BBox& world,
-    const AccurateRasterJoinOptions& options, bool overlap,
+    const TriangleSoup& soup, const AccuratePolygonSide& side,
+    const BBox& world, const AccurateRasterJoinOptions& options, bool overlap,
     AccurateRasterJoinStats* stats) {
   RJ_RETURN_NOT_OK(ValidatePolygonIds(polys));
   RJ_RETURN_NOT_OK(
@@ -31,39 +58,19 @@ Result<JoinResult> AccurateBlockJoin(
   RJ_RETURN_NOT_OK(
       ValidateFiltersCount(source.num_attributes(), options.filters));
 
-  const std::int32_t dim = options.canvas_dim > 0
-                               ? options.canvas_dim
-                               : device->options().max_fbo_dim;
-  if (dim <= 0) return Status::InvalidArgument("canvas dimension must be > 0");
+  RJ_ASSIGN_OR_RETURN(const std::int32_t dim, AccurateCanvasDim(side));
   if (world.IsEmpty() || world.Width() <= 0 || world.Height() <= 0) {
     return Status::InvalidArgument("world extent is empty");
   }
 
   JoinResult result(polys.size());
   raster::Viewport vp(world, dim, dim);
-  // Pooled canvases (see fbo_pool.h).
-  raster::FboLease boundary_lease = raster::FboPool::Shared().Acquire(dim, dim);
+  // Step 1's canvas and the JoinPoint index come from the caller.
+  const raster::Fbo& boundary_fbo = *side.boundary;
+  const GridIndex& index = *side.index;
+  // Pooled canvas (see fbo_pool.h).
   raster::FboLease point_lease = raster::FboPool::Shared().Acquire(dim, dim);
-  raster::Fbo& boundary_fbo = *boundary_lease;
   raster::Fbo& point_fbo = *point_lease;
-
-  // --- Step 1: draw polygon outlines (conservative rasterization). -------
-  {
-    ScopedPhase sp(&result.timing, phase::kProcessing);
-    raster::DrawBoundaries(vp, polys, /*conservative=*/true, &boundary_fbo,
-                           &device->counters(), &device->pool());
-  }
-
-  // Build the grid index on the device, on the fly (§6.1 "Polygon Index").
-  RJ_ASSIGN_OR_RETURN(
-      GridIndex index,
-      [&]() {
-        Timer t;
-        auto r = GridIndex::Build(polys, world, options.index_resolution,
-                                  GridAssignMode::kMbr);
-        result.timing.Add(phase::kIndexBuild, t.ElapsedSeconds());
-        return r;
-      }());
 
   const bool has_weight = options.weight_column != PointTable::npos;
 
@@ -218,6 +225,7 @@ Result<JoinResult> AccurateRasterJoin(gpu::Device* device,
                                       const PointTable& points,
                                       const PolygonSet& polys,
                                       const TriangleSoup& soup,
+                                      const AccuratePolygonSide& side,
                                       const BBox& world,
                                       const AccurateRasterJoinOptions& options,
                                       AccurateRasterJoinStats* stats) {
@@ -238,13 +246,14 @@ Result<JoinResult> AccurateRasterJoin(gpu::Device* device,
   std::vector<std::size_t> scan(adapter.num_blocks());
   for (std::size_t b = 0; b < scan.size(); ++b) scan[b] = b;
   return AccurateBlockJoin(device, adapter, std::move(scan), polys, soup,
-                           world, options, overlap, stats);
+                           side, world, options, overlap, stats);
 }
 
 Result<JoinResult> AccurateRasterJoin(gpu::Device* device,
                                       const data::PointBlockSource& source,
                                       const PolygonSet& polys,
                                       const TriangleSoup& soup,
+                                      const AccuratePolygonSide& side,
                                       const BBox& world,
                                       const AccurateRasterJoinOptions& options,
                                       AccurateRasterJoinStats* stats) {
@@ -254,7 +263,8 @@ Result<JoinResult> AccurateRasterJoin(gpu::Device* device,
   device->counters().AddBlocksPruned(sel.pruned);
   if (stats != nullptr) stats->blocks_pruned = sel.pruned;
   return AccurateBlockJoin(device, source, std::move(sel.blocks), polys, soup,
-                           world, options, options.overlap_transfers, stats);
+                           side, world, options, options.overlap_transfers,
+                           stats);
 }
 
 }  // namespace rj

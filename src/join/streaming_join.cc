@@ -162,8 +162,9 @@ Result<JoinResult> StreamingBoundedJoin::Finish() {
 
 StreamingAccurateJoin::StreamingAccurateJoin(
     gpu::Device* device, const PolygonSet* polys, const TriangleSoup* soup,
-    const BBox& world, AccurateRasterJoinOptions options)
-    : device_(device), polys_(polys), soup_(soup), world_(world),
+    const AccuratePolygonSide& side, const BBox& world,
+    AccurateRasterJoinOptions options)
+    : device_(device), polys_(polys), soup_(soup), side_(side), world_(world),
       options_(std::move(options)) {}
 
 StreamingAccurateJoin::~StreamingAccurateJoin() = default;
@@ -171,27 +172,13 @@ StreamingAccurateJoin::~StreamingAccurateJoin() = default;
 Status StreamingAccurateJoin::Init() {
   if (initialized_) return Status::Internal("Init() called twice");
   RJ_RETURN_NOT_OK(ValidatePolygonIds(*polys_));
-  dim_ = options_.canvas_dim > 0 ? options_.canvas_dim
-                                 : device_->options().max_fbo_dim;
+  RJ_ASSIGN_OR_RETURN(dim_, AccurateCanvasDim(side_));
   if (world_.IsEmpty() || world_.Width() <= 0 || world_.Height() <= 0) {
     return Status::InvalidArgument("world extent is empty");
   }
   result_ = JoinResult(polys_->size());
   vp_ = std::make_unique<raster::Viewport>(world_, dim_, dim_);
-  boundary_fbo_ = std::make_unique<raster::Fbo>(dim_, dim_);
   point_fbo_ = std::make_unique<raster::Fbo>(dim_, dim_);
-  {
-    ScopedPhase sp(&result_.timing, phase::kProcessing);
-    raster::DrawBoundaries(*vp_, *polys_, /*conservative=*/true,
-                           boundary_fbo_.get(), &device_->counters());
-  }
-  Timer t;
-  RJ_ASSIGN_OR_RETURN(
-      GridIndex index,
-      GridIndex::Build(*polys_, world_, options_.index_resolution,
-                       GridAssignMode::kMbr));
-  index_ = std::make_unique<GridIndex>(std::move(index));
-  result_.timing.Add(phase::kIndexBuild, t.ElapsedSeconds());
   pipeline_ = std::make_unique<join::BatchPipeline>(
       device_, UploadColumns(options_.filters, options_.weight_column),
       join::BatchPipelineOptions{options_.overlap_transfers});
@@ -216,9 +203,9 @@ void StreamingAccurateJoin::ProcessBatch(const PointTable& batch) {
 
     const float w =
         has_weight ? batch.attribute(options_.weight_column)[i] : 0.0f;
-    if (raster::IsBoundaryPixel(*boundary_fbo_, px, py)) {
+    if (raster::IsBoundaryPixel(*side_.boundary, px, py)) {
       ++boundary_points_;
-      auto [cb, ce] = index_->Candidates(p);
+      auto [cb, ce] = side_.index->Candidates(p);
       for (const std::int32_t* c = cb; c != ce; ++c) {
         const Polygon& poly = (*polys_)[static_cast<std::size_t>(*c)];
         if (!poly.Contains(p)) continue;
@@ -291,11 +278,10 @@ Result<JoinResult> StreamingAccurateJoin::Finish() {
   RJ_RETURN_NOT_OK(pipeline_->Drain(&result_.timing));
   ScopedPhase sp(&result_.timing, phase::kProcessing);
   raster::ResultArrays poly_pass(polys_->size());
-  raster::DrawPolygons(*vp_, *soup_, *point_fbo_, boundary_fbo_.get(),
-                       &poly_pass, &device_->counters());
+  raster::DrawPolygons(*vp_, *soup_, *point_fbo_, side_.boundary, &poly_pass,
+                       &device_->counters());
   result_.arrays.AddFrom(poly_pass);
   device_->counters().AddRenderPasses(1);
-  boundary_fbo_.reset();
   point_fbo_.reset();
   return std::move(result_);
 }

@@ -99,13 +99,15 @@ class StreamingBoundedJoin {
   bool finished_ = false;
 };
 
-/// Streaming accurate raster join: boundary FBO and grid index built once
-/// in Init(); AddBatch() classifies points (fast raster path vs exact PIP
-/// path); Finish() runs the polygon pass.
+/// Streaming accurate raster join over a caller-built polygon side
+/// (boundary canvas + grid index; must outlive the join); AddBatch()
+/// classifies points (fast raster path vs exact PIP path); Finish() runs
+/// the polygon pass.
 class StreamingAccurateJoin {
  public:
   StreamingAccurateJoin(gpu::Device* device, const PolygonSet* polys,
-                        const TriangleSoup* soup, const BBox& world,
+                        const TriangleSoup* soup,
+                        const AccuratePolygonSide& side, const BBox& world,
                         AccurateRasterJoinOptions options);
   ~StreamingAccurateJoin();
 
@@ -132,14 +134,13 @@ class StreamingAccurateJoin {
   gpu::Device* device_;
   const PolygonSet* polys_;
   const TriangleSoup* soup_;
+  AccuratePolygonSide side_;
   BBox world_;
   AccurateRasterJoinOptions options_;
 
   std::int32_t dim_ = 0;
   std::unique_ptr<raster::Viewport> vp_;
-  std::unique_ptr<raster::Fbo> boundary_fbo_;
   std::unique_ptr<raster::Fbo> point_fbo_;
-  std::unique_ptr<GridIndex> index_;
   std::unique_ptr<join::BatchPipeline> pipeline_;
   std::atomic<std::uint64_t>* version_counter_ = nullptr;
   JoinResult result_;

@@ -11,6 +11,7 @@
 #include "join/index_join.h"
 #include "join/raster_join_accurate.h"
 #include "join/raster_join_bounded.h"
+#include "query/polygon_artifacts.h"
 #include "query/result_cache.h"
 #include "raster/viewport.h"
 
@@ -106,14 +107,16 @@ void Executor::InitWorldAndCosts(const BBox& points_extent,
 Executor::Executor(gpu::Device* device, const PointTable* points,
                    const PolygonSet* polys)
     : device_(device), points_(points), polys_(polys),
-      plan_cache_(std::make_unique<query::PlanCache>()) {
+      plan_cache_(std::make_unique<query::PlanCache>()),
+      artifact_scope_(query::PolygonArtifacts::NewScope()) {
   InitWorldAndCosts(points->Extent(), points->size());
 }
 
 Executor::Executor(gpu::Device* device, const data::PointBlockSource* source,
                    const PolygonSet* polys)
     : device_(device), points_(nullptr), source_(source), polys_(polys),
-      plan_cache_(std::make_unique<query::PlanCache>()) {
+      plan_cache_(std::make_unique<query::PlanCache>()),
+      artifact_scope_(query::PolygonArtifacts::NewScope()) {
   // The source's extent is part of its header/metadata (O(1)), so the
   // registration-time cost here is the polygon scan only — no block reads.
   InitWorldAndCosts(source->extent(),
@@ -124,7 +127,8 @@ Executor::Executor(gpu::DevicePool* pool, const data::ShardedTable* shards,
                    const PolygonSet* polys)
     : device_(pool->primary()), pool_(pool), shards_(shards),
       points_(nullptr), polys_(polys),
-      plan_cache_(std::make_unique<query::PlanCache>()) {
+      plan_cache_(std::make_unique<query::PlanCache>()),
+      artifact_scope_(query::PolygonArtifacts::NewScope()) {
   // The sharded world must equal the single-device world for the same
   // dataset — shards_->extent() is the *whole* dataset's extent, so the
   // canvas (and every rasterized pixel) lines up bitwise with an unsharded
@@ -132,7 +136,9 @@ Executor::Executor(gpu::DevicePool* pool, const data::ShardedTable* shards,
   InitWorldAndCosts(shards->extent(), shards->total_points());
 }
 
-Executor::~Executor() = default;
+Executor::~Executor() {
+  query::PolygonArtifacts::Shared().DropScope(artifact_scope_);
+}
 
 query::PlanCacheStats Executor::plan_cache_stats() const {
   return plan_cache_->stats();
@@ -156,45 +162,19 @@ std::vector<std::size_t> Executor::ShardsPerDevice() const {
 }
 
 Result<const TriangleSoup*> Executor::GetTriangulation() {
-  MutexLock lock(prep_mutex_);
-  if (!soup_built_) {
-    Timer t;
-    RJ_ASSIGN_OR_RETURN(soup_, TriangulatePolygonSet(*polys_));
-    triangulation_seconds_ = t.ElapsedSeconds();
-    soup_built_ = true;
-  }
-  return &soup_;
+  RJ_ASSIGN_OR_RETURN(std::shared_ptr<const TriangleSoup> soup,
+                      query::PolygonArtifacts::Shared().Triangulation(
+                          artifact_scope_, *polys_, /*timing=*/nullptr));
+  // Pinned in the cache until this executor's destructor drops its scope.
+  return soup.get();
 }
 
-Result<const GridIndex*> Executor::GetCpuIndex(std::int32_t resolution) {
-  MutexLock lock(prep_mutex_);
-  auto it = cpu_indexes_.find(resolution);
-  if (it == cpu_indexes_.end()) {
-    RJ_ASSIGN_OR_RETURN(GridIndex index,
-                        GridIndex::Build(*polys_, world_, resolution,
-                                         GridAssignMode::kExactGeometry));
-    it = cpu_indexes_
-             .emplace(resolution, std::make_unique<GridIndex>(std::move(index)))
-             .first;
+Status Executor::WarmArtifacts(const SpatialAggQuery& query) {
+  // Evictable artifacts are retained on their key's second request.
+  for (int request = 0; request < 2; ++request) {
+    RJ_RETURN_NOT_OK(PrepareQuery(query).status());
   }
-  return it->second.get();
-}
-
-Result<const GridIndex*> Executor::GetDeviceIndex(std::int32_t resolution) {
-  MutexLock lock(prep_mutex_);
-  auto it = device_indexes_.find(resolution);
-  if (it == device_indexes_.end()) {
-    // Identical construction parameters to the per-query build inside
-    // IndexJoinDevice (MBR assignment over the executor's world), so the
-    // prebuilt index is bit-for-bit the one each query would have built.
-    RJ_ASSIGN_OR_RETURN(GridIndex index,
-                        GridIndex::Build(*polys_, world_, resolution,
-                                         GridAssignMode::kMbr));
-    it = device_indexes_
-             .emplace(resolution, std::make_unique<GridIndex>(std::move(index)))
-             .first;
-  }
-  return it->second.get();
+  return Status::OK();
 }
 
 void Executor::SetShardReplicas(std::vector<std::vector<std::size_t>> replicas) {
@@ -268,12 +248,12 @@ Result<AdmissionPlan> Executor::PlanAdmission(const SpatialAggQuery& query) {
 
 Result<JoinResult> Executor::RunVariant(
     gpu::Device* device, const PointTable* points,
-    const data::PointBlockSource* source, JoinVariant variant,
-    const SpatialAggQuery& query, std::size_t weight_column,
-    const UploadPlan& capped, const TriangleSoup* soup,
-    const GridIndex* cpu_index, const GridIndex* device_index,
+    const data::PointBlockSource* source, const SpatialAggQuery& query,
+    const QuerySetup& setup, const UploadPlan& capped,
     ResultRanges* ranges_out, std::optional<raster::Fbo>* point_fbo_out) {
-  switch (variant) {
+  const std::size_t weight_column = setup.weight_column;
+  const TriangleSoup* soup = setup.soup.get();
+  switch (setup.variant) {
     case JoinVariant::kBoundedRaster: {
       BoundedRasterJoinOptions options;
       options.epsilon = query.epsilon;
@@ -293,18 +273,17 @@ Result<JoinResult> Executor::RunVariant(
     }
     case JoinVariant::kAccurateRaster: {
       AccurateRasterJoinOptions options;
-      options.canvas_dim = query.accurate_canvas_dim;
       options.weight_column = weight_column;
       options.filters = query.filters;
       options.batch_size = capped.batch_size;
       options.overlap_transfers = capped.overlap_transfers;
       if (source != nullptr) {
         options.enable_block_pruning = query.enable_block_pruning;
-        return AccurateRasterJoin(device, *source, *polys_, *soup, world_,
-                                  options);
+        return AccurateRasterJoin(device, *source, *polys_, *soup,
+                                  setup.accurate_side(), world_, options);
       }
-      return AccurateRasterJoin(device, *points, *polys_, *soup, world_,
-                                options);
+      return AccurateRasterJoin(device, *points, *polys_, *soup,
+                                setup.accurate_side(), world_, options);
     }
     case JoinVariant::kIndexDevice: {
       IndexJoinOptions options;
@@ -312,7 +291,7 @@ Result<JoinResult> Executor::RunVariant(
       options.filters = query.filters;
       options.batch_size = capped.batch_size;
       options.overlap_transfers = capped.overlap_transfers;
-      options.prebuilt_index = device_index;
+      options.prebuilt_index = setup.index.get();
       if (source != nullptr) {
         options.enable_block_pruning = query.enable_block_pruning;
         return IndexJoinDevice(device, *source, *polys_, world_, options);
@@ -326,10 +305,10 @@ Result<JoinResult> Executor::RunVariant(
       options.assign_mode = GridAssignMode::kExactGeometry;
       if (source != nullptr) {
         options.enable_block_pruning = query.enable_block_pruning;
-        return IndexJoinCpu(*source, *polys_, *cpu_index, options,
+        return IndexJoinCpu(*source, *polys_, *setup.index, options,
                             query.cpu_threads);
       }
-      return IndexJoinCpu(*points, *polys_, *cpu_index, options,
+      return IndexJoinCpu(*points, *polys_, *setup.index, options,
                           query.cpu_threads);
     }
     case JoinVariant::kAuto:
@@ -340,6 +319,13 @@ Result<JoinResult> Executor::RunVariant(
 
 Result<Executor::QuerySetup> Executor::PrepareQuery(
     const SpatialAggQuery& query) {
+  RJ_ASSIGN_OR_RETURN(QuerySetup setup, CheckQuery(query));
+  RJ_RETURN_NOT_OK(PinArtifacts(&setup));
+  return setup;
+}
+
+Result<Executor::QuerySetup> Executor::CheckQuery(
+    const SpatialAggQuery& query) const {
   QuerySetup setup;
   setup.weight_column = query.EffectiveAggregateColumn();
   if (query.aggregate != AggregateKind::kCount &&
@@ -350,21 +336,58 @@ Result<Executor::QuerySetup> Executor::PrepareQuery(
   setup.variant = ResolveVariant(query);
   setup.bytes_per_point =
       UploadBytesPerPoint(query.filters, setup.weight_column);
-  if (setup.variant == JoinVariant::kBoundedRaster ||
-      setup.variant == JoinVariant::kAccurateRaster) {
-    RJ_ASSIGN_OR_RETURN(setup.soup, GetTriangulation());
+  if (sharded() && !pool_->UniformFboLimit()) {
+    // Shards must rasterize on one pixel grid; a pool with mixed FBO
+    // limits would tile the canvas differently per shard.
+    return Status::InvalidArgument(
+        "sharded execution requires a uniform max_fbo_dim across the pool");
   }
-  if (setup.variant == JoinVariant::kIndexCpu) {
-    RJ_ASSIGN_OR_RETURN(setup.cpu_index,
-                        GetCpuIndex(IndexJoinOptions{}.index_resolution));
-  }
-  if (setup.variant == JoinVariant::kIndexDevice) {
-    // The §6.2 baseline's per-query device index, hoisted into the prep
-    // cache: repeated queries (the multi-query workload) skip the rebuild.
-    RJ_ASSIGN_OR_RETURN(setup.device_index,
-                        GetDeviceIndex(IndexJoinOptions{}.index_resolution));
+  if (setup.variant == JoinVariant::kAccurateRaster) {
+    // Bound the canvas before any canvas is leased or artifact keyed: a
+    // dim above the device's FBO limit is a bad request (400), not an
+    // allocation of dim² × 16 bytes, and the canvas-dim key space of the
+    // artifact cache stays bounded.
+    RJ_ASSIGN_OR_RETURN(
+        setup.canvas_dim,
+        ResolveAccurateCanvasDim(query.accurate_canvas_dim,
+                                 device_->options().max_fbo_dim));
   }
   return setup;
+}
+
+Status Executor::PinArtifacts(QuerySetup* out) {
+  QuerySetup& setup = *out;
+  query::PolygonArtifacts& cache = query::PolygonArtifacts::Shared();
+  PhaseTimer* timing = &setup.timing;
+  const gpu::CountersSnapshot before = device_->counters().Snapshot();
+  if (setup.variant == JoinVariant::kBoundedRaster ||
+      setup.variant == JoinVariant::kAccurateRaster) {
+    RJ_ASSIGN_OR_RETURN(setup.soup, cache.Triangulation(artifact_scope_,
+                                                        *polys_, timing));
+  }
+  if (setup.variant == JoinVariant::kAccurateRaster) {
+    // Drawn on the primary device once; every shard reads the same canvas
+    // (the marks are worker-count independent, see DrawBoundaries).
+    RJ_ASSIGN_OR_RETURN(setup.boundary,
+                        cache.Boundary(artifact_scope_, device_, *polys_,
+                                       world_, setup.canvas_dim, timing));
+  }
+  if (setup.variant != JoinVariant::kBoundedRaster) {
+    // The accurate join and the device index join share one MBR index at
+    // the same resolution; the CPU join reads the exact-geometry one.
+    const bool accurate = setup.variant == JoinVariant::kAccurateRaster;
+    RJ_ASSIGN_OR_RETURN(
+        setup.index,
+        cache.Index(artifact_scope_, *polys_, world_,
+                    accurate ? kAccurateIndexResolution
+                             : IndexJoinOptions{}.index_resolution,
+                    setup.variant == JoinVariant::kIndexCpu
+                        ? GridAssignMode::kExactGeometry
+                        : GridAssignMode::kMbr,
+                    timing));
+  }
+  setup.counters = device_->counters().Snapshot().DeltaSince(before);
+  return Status::OK();
 }
 
 Result<QueryResult> Executor::Execute(const QuerySpec& spec,
@@ -443,15 +466,14 @@ Result<QueryResult> Executor::ExecuteUncached(
 
   JoinResult join;
   RJ_ASSIGN_OR_RETURN(
-      join, RunVariant(device_, points_, source_, setup.variant, query,
-                       setup.weight_column, capped, setup.soup,
-                       setup.cpu_index, setup.device_index,
+      join, RunVariant(device_, points_, source_, query, setup, capped,
                        query.with_result_ranges ? &out.ranges : nullptr,
                        nullptr));
 
   out.values = join.Finalize(query.aggregate);
   out.arrays = std::move(join.arrays);
   out.timing = join.timing;
+  out.timing.Add(setup.timing);
   out.total_seconds = total.ElapsedSeconds();
   return out;
 }
@@ -483,15 +505,17 @@ Result<std::vector<QueryResult>> Executor::ExecuteFused(
   }
 
   Timer total;
-  // Per-member preamble (validates aggregates/columns; the soup is shared
-  // across the group via the triangulation cache).
+  // Per-member checks (aggregates, columns, the canvas bound) and the
+  // group's compatibility come first; only then are the polygon-side
+  // artifacts pinned, once, for the whole group — members share the canvas.
   std::vector<QuerySetup> setups;
   setups.reserve(queries.size());
   for (const SpatialAggQuery& q : queries) {
-    RJ_ASSIGN_OR_RETURN(QuerySetup setup, PrepareQuery(q));
-    setups.push_back(setup);
+    RJ_ASSIGN_OR_RETURN(QuerySetup setup, CheckQuery(q));
+    setups.push_back(std::move(setup));
   }
-  const JoinVariant variant = setups[0].variant;
+  QuerySetup& group = setups[0];
+  const JoinVariant variant = group.variant;
   if (variant != JoinVariant::kBoundedRaster &&
       variant != JoinVariant::kAccurateRaster) {
     return Status::InvalidArgument(
@@ -512,11 +536,10 @@ Result<std::vector<QueryResult>> Executor::ExecuteFused(
           "variant and canvas");
     }
   }
+  RJ_RETURN_NOT_OK(PinArtifacts(&group));
 
   const std::vector<FusedMemberSpec> members = FusedMembers(queries, variant);
-  if (sharded()) {
-    return ExecuteFusedSharded(queries, members, variant, setups[0].soup);
-  }
+  if (sharded()) return ExecuteFusedSharded(queries, members, group);
 
   const std::size_t stride = UploadStrideBytes(FusedUploadColumns(members));
   const UploadPlan capped = plan_cache_->GetUpload(
@@ -529,19 +552,19 @@ Result<std::vector<QueryResult>> Executor::ExecuteFused(
 
   FusedJoinOptions options;
   options.epsilon = queries[0].epsilon;
-  options.canvas_dim = queries[0].accurate_canvas_dim;
   options.batch_size = capped.batch_size;
   options.overlap_transfers = capped.overlap_transfers;
 
   Result<FusedJoinOutput> fused_result =
       variant == JoinVariant::kBoundedRaster
-          ? FusedBoundedRasterJoin(device_, *points_, *polys_,
-                                   *setups[0].soup, world_, options, members)
-          : FusedAccurateRasterJoin(device_, *points_, *polys_,
-                                    *setups[0].soup, world_, options,
+          ? FusedBoundedRasterJoin(device_, *points_, *polys_, *group.soup,
+                                   world_, options, members)
+          : FusedAccurateRasterJoin(device_, *points_, *polys_, *group.soup,
+                                    group.accurate_side(), world_, options,
                                     members);
   if (!fused_result.ok()) return fused_result.status();
   FusedJoinOutput fused = std::move(fused_result).MoveValueUnsafe();
+  fused.timing.Add(group.timing);
 
   // Demultiplex: per-member payloads, group-level diagnostics replicated.
   std::vector<QueryResult> out(queries.size());
@@ -588,14 +611,11 @@ Result<AdmissionPlan> Executor::PlanFusedAdmission(
 
 Result<std::vector<QueryResult>> Executor::ExecuteFusedSharded(
     const std::vector<SpatialAggQuery>& queries,
-    const std::vector<FusedMemberSpec>& members, JoinVariant variant,
-    const TriangleSoup* soup) {
+    const std::vector<FusedMemberSpec>& members, const QuerySetup& setup) {
   Timer total;
+  const JoinVariant variant = setup.variant;
+  const TriangleSoup* soup = setup.soup.get();
   const std::size_t m = queries.size();
-  if (!pool_->UniformFboLimit()) {
-    return Status::InvalidArgument(
-        "sharded execution requires a uniform max_fbo_dim across the pool");
-  }
 
   // §5 ranges recompute on the gathered point FBO, exactly as in
   // ExecuteSharded — shards export FBOs instead of computing intervals.
@@ -625,7 +645,6 @@ Result<std::vector<QueryResult>> Executor::ExecuteFusedSharded(
         });
     FusedJoinOptions options;
     options.epsilon = queries[0].epsilon;
-    options.canvas_dim = queries[0].accurate_canvas_dim;
     options.batch_size = capped.batch_size;
     options.overlap_transfers = capped.overlap_transfers;
     Result<FusedJoinOutput> join =
@@ -633,7 +652,8 @@ Result<std::vector<QueryResult>> Executor::ExecuteFusedSharded(
             ? FusedBoundedRasterJoin(dev, shard_points, *polys_, *soup,
                                      world_, options, shard_members)
             : FusedAccurateRasterJoin(dev, shard_points, *polys_, *soup,
-                                      world_, options, shard_members);
+                                      setup.accurate_side(), world_, options,
+                                      shard_members);
     if (!join.ok()) {
       shard_status[s] = join.status();
       return;
@@ -681,6 +701,8 @@ Result<std::vector<QueryResult>> Executor::ExecuteFusedSharded(
     out[i].values = FinalizeAggregate(queries[i].aggregate, out[i].arrays);
     if (i == 0) group_timing = merged.timing;
   }
+  group_timing.Add(setup.timing);
+  group_counters = group_counters.Plus(setup.counters);
 
   if (any_ranges) {
     RJ_ASSIGN_OR_RETURN(
@@ -738,11 +760,11 @@ Result<BBox> Executor::RoutingRegion(JoinVariant variant,
   } else if (variant == JoinVariant::kAccurateRaster) {
     // One pixel of the accurate canvas, over-approximated with the longer
     // world side (the canvas is square over the world extent).
-    const std::int32_t dim = query.accurate_canvas_dim > 0
-                                 ? query.accurate_canvas_dim
-                                 : device_->options().max_fbo_dim;
-    pad = std::max(world_.Width(), world_.Height()) /
-          static_cast<double>(std::max<std::int32_t>(dim, 1));
+    RJ_ASSIGN_OR_RETURN(
+        const std::int32_t dim,
+        ResolveAccurateCanvasDim(query.accurate_canvas_dim,
+                                 device_->options().max_fbo_dim));
+    pad = std::max(world_.Width(), world_.Height()) / static_cast<double>(dim);
   }
   // Index variants are PIP-exact: a contributing point lies inside a
   // polygon, hence inside the unpadded extent (Intersects is closed).
@@ -847,16 +869,12 @@ Result<QueryResult> Executor::ExecuteSharded(const SpatialAggQuery& query,
   Timer total;
   QueryResult out;
 
-  // Same preamble as the single-device path (PrepareQuery builds the
-  // shared preprocessing once; every shard reuses the cached soup/index —
-  // the polygon side of the join is identical across shards).
+  // Same preamble as the single-device path: PrepareQuery pins the
+  // polygon-side artifacts once and every shard reads them — the polygon
+  // side of the join is identical across shards. A cold build draws on the
+  // primary device before the per-device counter windows open; its delta
+  // rides in setup.counters.
   RJ_ASSIGN_OR_RETURN(QuerySetup setup, PrepareQuery(query));
-  if (!pool_->UniformFboLimit()) {
-    // Shards must rasterize on one pixel grid; a pool with mixed FBO
-    // limits would tile the canvas differently per shard.
-    return Status::InvalidArgument(
-        "sharded execution requires a uniform max_fbo_dim across the pool");
-  }
 
   // Ranges gather (bounded variant only): shards export their point FBOs
   // and the §5 classification runs once over the pixel-wise sum, which is
@@ -905,10 +923,8 @@ Result<QueryResult> Executor::ExecuteSharded(const SpatialAggQuery& query,
         });
 
     Result<JoinResult> join =
-        RunVariant(dev, &shard_points, /*source=*/nullptr, setup.variant,
-                   query, setup.weight_column, capped, setup.soup,
-                   setup.cpu_index, setup.device_index,
-                   /*ranges_out=*/nullptr,
+        RunVariant(dev, &shard_points, /*source=*/nullptr, query, setup,
+                   capped, /*ranges_out=*/nullptr,
                    want_ranges ? &shard_fbos[s] : nullptr);
     if (!join.ok()) {
       shard_status[s] = join.status();
@@ -971,7 +987,8 @@ Result<QueryResult> Executor::ExecuteSharded(const SpatialAggQuery& query,
   out.arrays = std::move(merged.arrays);
   out.values = FinalizeAggregate(query.aggregate, out.arrays);
   out.timing = merged.timing;
-  out.counters = merged.counters;
+  out.timing.Add(setup.timing);
+  out.counters = merged.counters.Plus(setup.counters);
   out.counters.shards_routed += place.executed;
   out.counters.shards_skipped += place.skipped;
 

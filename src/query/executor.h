@@ -2,9 +2,12 @@
 /// \brief Query executor: prepares polygon data, dispatches to the chosen
 /// join operator, and finalizes the aggregate.
 ///
-/// Owns the per-query polygon processing the paper measures in Table 1
-/// (triangulation for the raster variants, grid-index construction for the
-/// baselines) and the device(s) it executes on. Two execution shapes:
+/// Owns the device(s) it executes on and reads the polygon processing the
+/// paper measures in Table 1 — triangulation, grid indexes, the accurate
+/// join's boundary canvas — from the polygon-side artifact cache
+/// (query::PolygonArtifacts), which builds each artifact once per
+/// (executor, kind, resolution) instead of once per query. Two execution
+/// shapes:
 ///
 ///  * single-device — the paper's setup: one gpu::Device runs the whole
 ///    point set (batched when out of core);
@@ -29,16 +32,16 @@
 /// execution.
 ///
 /// Thread-safety contract (docs/SERVICE.md): one Executor may serve
-/// concurrent Execute() calls from many threads. The preprocessing caches
-/// (triangulation, CPU grid indexes) are built once under an internal
-/// mutex and then shared read-only; everything else in Execute() works on
-/// per-call state. Mutating cost_params() while queries are in flight is
-/// not synchronized — configure it before serving traffic.
+/// concurrent Execute() calls from many threads. Polygon-side artifacts
+/// come from the internally synchronized artifact cache (single-flight
+/// builds, shared_ptr pins held for the query); everything else in
+/// Execute() works on per-call state. Mutating cost_params() while queries
+/// are in flight is not synchronized — configure it before serving
+/// traffic.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -52,6 +55,7 @@
 #include "index/grid_index.h"
 #include "join/fused_join.h"
 #include "join/join_common.h"
+#include "join/raster_join_accurate.h"
 #include "query/optimizer.h"
 #include "query/query.h"
 #include "query/query_spec.h"
@@ -93,9 +97,9 @@ struct AdmissionPlan {
 };
 
 /// Executes spatial aggregation queries against one (points, polygons)
-/// pair. Polygon preprocessing (triangulation; CPU index) is computed
-/// lazily and cached across queries, mirroring the paper's setup where
-/// CPU indexes are pre-built but device structures are per-query.
+/// pair. Polygon-side artifacts (triangulation, grid indexes, boundary
+/// canvases) are built lazily and shared across queries through the
+/// artifact cache, scoped to this instance: the destructor drops them.
 class Executor {
  public:
   /// Single-device executor. Neither `points` nor `polys` are copied; both
@@ -268,21 +272,15 @@ class Executor {
   gpu::DevicePool* device_pool() const { return pool_; }
   const data::ShardedTable* shards() const { return shards_; }
 
-  /// Cached triangulation (built on first raster-variant query).
-  [[nodiscard]] Result<const TriangleSoup*> GetTriangulation()
-      RJ_EXCLUDES(prep_mutex_);
+  /// The triangulation (built on first use, then pinned in the artifact
+  /// cache for this executor's lifetime — the pointer stays valid until
+  /// destruction).
+  [[nodiscard]] Result<const TriangleSoup*> GetTriangulation();
 
-  /// Cached exact-geometry CPU grid index at `resolution`.
-  [[nodiscard]] Result<const GridIndex*> GetCpuIndex(std::int32_t resolution)
-      RJ_EXCLUDES(prep_mutex_);
-
-  /// Cached MBR-mode grid index for the device index-join variant. The
-  /// paper's §6.2 baseline rebuilds this per query; caching it across
-  /// queries (it is a pure function of the immutable polygon set, world,
-  /// and resolution) removes the rebuild from repeated traffic without
-  /// changing results — IndexJoinDevice consumes it as a prebuilt index.
-  [[nodiscard]] Result<const GridIndex*> GetDeviceIndex(
-      std::int32_t resolution) RJ_EXCLUDES(prep_mutex_);
+  /// Builds and retains the polygon-side artifacts `query` reads — the
+  /// warm state repeated traffic reaches on its second query — so a
+  /// warm-up can run outside a timed region. Thread-safe.
+  [[nodiscard]] Status WarmArtifacts(const SpatialAggQuery& query);
 
   /// Cost-model parameters for the kAuto variant. Not synchronized:
   /// configure before serving concurrent queries.
@@ -325,19 +323,38 @@ class Executor {
   /// Shared constructor tail: world extent and cost-model inputs.
   void InitWorldAndCosts(const BBox& points_extent, std::size_t num_points);
 
-  /// Per-query preamble shared by both execution paths: aggregate
-  /// validation, variant resolution, upload stride, and the preprocessing
-  /// the resolved variant needs (triangulation / CPU index). One copy, so
-  /// sharded and single-device behavior cannot drift.
+  /// Per-query preamble shared by every execution path: CheckQuery
+  /// (aggregate validation, variant resolution, the pool's uniform FBO
+  /// limit, the accurate canvas bound, upload stride), then PinArtifacts
+  /// (the polygon-side artifacts the resolved variant reads, pinned for the
+  /// query). One copy, so the solo, fused and sharded paths cannot drift. A
+  /// fusion group checks every member and their compatibility before it
+  /// pins once (members share the canvas).
   struct QuerySetup {
     std::size_t weight_column = PointTable::npos;
     JoinVariant variant = JoinVariant::kAuto;
     std::size_t bytes_per_point = 0;
-    const TriangleSoup* soup = nullptr;       ///< raster variants
-    const GridIndex* cpu_index = nullptr;     ///< kIndexCpu
-    const GridIndex* device_index = nullptr;  ///< kIndexDevice (prebuilt)
+    /// Accurate variant: the resolved canvas dim (≤ max_fbo_dim).
+    std::int32_t canvas_dim = 0;
+    std::shared_ptr<const TriangleSoup> soup;  ///< raster variants
+    /// kIndexCpu: exact-geometry index; kIndexDevice and kAccurateRaster:
+    /// the shared MBR index.
+    std::shared_ptr<const GridIndex> index;
+    std::shared_ptr<const raster::Fbo> boundary;  ///< kAccurateRaster
+    /// Cold artifact builds (triangulation / index_build / boundary).
+    PhaseTimer timing;
+    /// Primary-device work of the cold builds (boundary fragments), for
+    /// the sharded paths, whose counter windows open after this.
+    gpu::CountersSnapshot counters;
+
+    AccuratePolygonSide accurate_side() const {
+      return {boundary.get(), index.get()};
+    }
   };
   Result<QuerySetup> PrepareQuery(const SpatialAggQuery& query);
+  /// Validation only: leases no canvas and keys no artifact.
+  Result<QuerySetup> CheckQuery(const SpatialAggQuery& query) const;
+  Status PinArtifacts(QuerySetup* setup);
 
   /// The query's effective spatial region for shard routing: the polygon
   /// set's extent inflated by one canvas pixel for the raster variants
@@ -353,20 +370,15 @@ class Executor {
   /// every shard of the scatter path, and the block-source path, so
   /// per-variant option wiring cannot drift between them. Exactly one of
   /// `points`/`source` is non-null (the source dispatch threads
-  /// query.enable_block_pruning into the join's block selection). `soup`
-  /// is required for the raster variants, `cpu_index` for kIndexCpu,
-  /// `device_index` is the (optional) prebuilt index for kIndexDevice;
+  /// query.enable_block_pruning into the join's block selection). `setup`
+  /// carries the variant and its pinned artifacts;
   /// `ranges_out`/`point_fbo_out` are the bounded variant's optional
   /// outputs.
   Result<JoinResult> RunVariant(gpu::Device* device, const PointTable* points,
                                 const data::PointBlockSource* source,
-                                JoinVariant variant,
                                 const SpatialAggQuery& query,
-                                std::size_t weight_column,
+                                const QuerySetup& setup,
                                 const UploadPlan& capped,
-                                const TriangleSoup* soup,
-                                const GridIndex* cpu_index,
-                                const GridIndex* device_index,
                                 ResultRanges* ranges_out,
                                 std::optional<raster::Fbo>* point_fbo_out);
 
@@ -380,8 +392,7 @@ class Executor {
   /// gathers for §5 ranges) — the fused mirror of ExecuteSharded.
   Result<std::vector<QueryResult>> ExecuteFusedSharded(
       const std::vector<SpatialAggQuery>& queries,
-      const std::vector<FusedMemberSpec>& members, JoinVariant variant,
-      const TriangleSoup* soup);
+      const std::vector<FusedMemberSpec>& members, const QuerySetup& setup);
 
   /// Points the batch planner sizes against: the whole table, the largest
   /// shard (each device holds at most its shards), or — source-backed —
@@ -411,21 +422,10 @@ class Executor {
   /// resolution O(1) on the per-query dispatch path.
   CostModelInputs cost_inputs_;
 
-  /// Guards the lazily-built caches below. Once built they are immutable
-  /// (indexes are per-resolution map entries with stable addresses), so
-  /// the pointers Get* return under the lock stay valid — and safely
-  /// readable without it — for the Executor's lifetime. The analysis
-  /// cannot see that build-once contract, which is why the escaping
-  /// pointers (not the guarded containers) are handed to callers.
-  Mutex prep_mutex_;
-  bool soup_built_ RJ_GUARDED_BY(prep_mutex_) = false;
-  TriangleSoup soup_ RJ_GUARDED_BY(prep_mutex_);
-  double triangulation_seconds_ RJ_GUARDED_BY(prep_mutex_) = 0.0;
-  std::map<std::int32_t, std::unique_ptr<GridIndex>> cpu_indexes_
-      RJ_GUARDED_BY(prep_mutex_);
-  /// MBR-mode indexes for the device variant, cached like cpu_indexes_.
-  std::map<std::int32_t, std::unique_ptr<GridIndex>> device_indexes_
-      RJ_GUARDED_BY(prep_mutex_);
+  /// This instance's key scope in query::PolygonArtifacts::Shared() —
+  /// never shared with another executor, even over the same polygons (see
+  /// polygon_artifacts.h).
+  const std::uint64_t artifact_scope_;
 
   /// Guards the replica map (written by QueryService's heat tracker while
   /// queries are in flight; read by every PlanPlacement).

@@ -52,157 +52,24 @@ CacheKey MakeCacheKey(std::uint64_t dataset, std::uint64_t version,
   return key;
 }
 
-ResultCache::ResultCache(ResultCacheOptions options) : options_(options) {
-  options_.num_shards = std::max<std::size_t>(1, options_.num_shards);
-  per_shard_capacity_ = options_.capacity_bytes / options_.num_shards;
-  shards_.reserve(options_.num_shards);
-  for (std::size_t i = 0; i < options_.num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-ResultCache::Shard& ResultCache::ShardFor(const CacheKey& key) {
-  return *shards_[CacheKeyHash{}(key) % shards_.size()];
-}
+ResultCache::ResultCache(ResultCacheOptions options)
+    : lru_(options.capacity_bytes, options.num_shards, &EntryBytes) {}
 
 std::shared_ptr<const QueryResult> ResultCache::Lookup(const CacheKey& key) {
-  Shard& shard = ShardFor(key);
-  MutexLock lock(shard.mutex);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
-    ++shard.misses;
-    return nullptr;
-  }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  ++shard.hits;
-  return it->second->value;
+  return lru_.Lookup(key);
 }
 
 Result<std::shared_ptr<const QueryResult>> ResultCache::GetOrCompute(
     const CacheKey& key, const ComputeFn& compute, bool* was_hit,
     const std::function<bool()>& still_valid) {
-  Shard& shard = ShardFor(key);
-  std::shared_ptr<InFlight> flight;
-  bool leader = false;
-  {
-    MutexLock lock(shard.mutex);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      ++shard.hits;
-      if (was_hit != nullptr) *was_hit = true;
-      return it->second->value;
-    }
-    auto fit = shard.inflight.find(key);
-    if (fit != shard.inflight.end()) {
-      flight = fit->second;
-      ++shard.shared_flights;
-    } else {
-      flight = std::make_shared<InFlight>();
-      shard.inflight.emplace(key, flight);
-      leader = true;
-      ++shard.misses;
-    }
-  }
-
-  if (!leader) {
-    // Follower: the leader is executing this exact query right now — wait
-    // for its outcome instead of duplicating the join (single-flight).
-    MutexLock lock(flight->mutex);
-    while (!flight->done) flight->cv.Wait(lock);
-    if (was_hit != nullptr) *was_hit = true;
-    if (!flight->error.ok()) return flight->error;
-    return flight->value;
-  }
-
-  // Leader: compute with no cache lock held, publish, wake followers.
-  Result<QueryResult> computed = compute();
-  std::shared_ptr<const QueryResult> value;
-  if (computed.ok()) {
-    value = std::make_shared<const QueryResult>(
-        std::move(computed).MoveValueUnsafe());
-  }
-  // Re-validate before publishing to the LRU: a value computed against a
-  // key whose world changed mid-flight (dataset version bump) is a correct
-  // answer for this caller and its followers, but must not become a
-  // persistent entry a later caller could hit.
-  const bool publishable =
-      value != nullptr && (still_valid == nullptr || still_valid());
-  {
-    MutexLock lock(shard.mutex);
-    shard.inflight.erase(key);
-    if (publishable) InsertLocked(shard, key, value);
-  }
-  {
-    MutexLock lock(flight->mutex);
-    flight->done = true;
-    if (value != nullptr) {
-      flight->value = value;
-    } else {
-      flight->error = computed.status();
-    }
-  }
-  flight->cv.NotifyAll();
-  if (was_hit != nullptr) *was_hit = false;
-  if (value == nullptr) return computed.status();
-  return value;
+  return lru_.GetOrCompute(key, compute, was_hit, still_valid);
 }
 
 void ResultCache::Insert(const CacheKey& key, QueryResult result) {
-  Shard& shard = ShardFor(key);
-  auto value = std::make_shared<const QueryResult>(std::move(result));
-  MutexLock lock(shard.mutex);
-  InsertLocked(shard, key, std::move(value));
+  lru_.Insert(key, std::make_shared<const QueryResult>(std::move(result)));
 }
 
-void ResultCache::InsertLocked(Shard& shard, const CacheKey& key,
-                               std::shared_ptr<const QueryResult> value) {
-  const std::size_t bytes = EntryBytes(key, *value);
-  if (bytes > per_shard_capacity_) return;  // would evict the whole shard
-  auto it = shard.entries.find(key);
-  if (it != shard.entries.end()) {
-    shard.bytes -= it->second->bytes;
-    shard.lru.erase(it->second);
-    shard.entries.erase(it);
-  }
-  shard.lru.push_front(Entry{key, std::move(value), bytes});
-  shard.entries.emplace(key, shard.lru.begin());
-  shard.bytes += bytes;
-  ++shard.inserts;
-  while (shard.bytes > per_shard_capacity_ && !shard.lru.empty()) {
-    const Entry& tail = shard.lru.back();
-    shard.bytes -= tail.bytes;
-    shard.entries.erase(tail.key);
-    shard.lru.pop_back();
-    ++shard.evictions;
-  }
-}
-
-void ResultCache::Clear() {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    MutexLock lock(shard->mutex);
-    shard->evictions += shard->entries.size();
-    shard->entries.clear();
-    shard->lru.clear();
-    shard->bytes = 0;
-  }
-}
-
-ResultCacheStats ResultCache::stats() const {
-  ResultCacheStats out;
-  out.capacity_bytes = options_.capacity_bytes;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    MutexLock lock(shard->mutex);
-    out.hits += shard->hits;
-    out.misses += shard->misses;
-    out.inserts += shard->inserts;
-    out.evictions += shard->evictions;
-    out.shared_flights += shard->shared_flights;
-    out.entries += shard->entries.size();
-    out.bytes_used += shard->bytes;
-  }
-  return out;
-}
+void ResultCache::Clear() { lru_.Clear(); }
 
 std::size_t ResultCache::EntryBytes(const CacheKey& key,
                                     const QueryResult& result) {
@@ -210,7 +77,9 @@ std::size_t ResultCache::EntryBytes(const CacheKey& key,
   // struct/bookkeeping overhead (list node, two key copies, map slot) is
   // approximated by the sizeofs. Exactness is not required — the capacity
   // is a budget, not an allocator.
-  std::size_t bytes = sizeof(Entry) + sizeof(CacheKey) + sizeof(QueryResult);
+  std::size_t bytes =
+      ShardedLru<CacheKey, QueryResult, CacheKeyHash>::kEntryOverhead +
+      sizeof(CacheKey) + sizeof(QueryResult);
   bytes += 2 * key.filters.size() * sizeof(AttributeFilter);
   bytes += result.values.size() * sizeof(double);
   bytes += (result.arrays.count.size() + result.arrays.sum.size() +

@@ -18,7 +18,9 @@
 ///    what makes admission-resized or resharded repeats actually hit;
 ///  * **sharded-lock LRU** — entries hash across N independently-locked
 ///    shards (byte-accounted; eviction from each shard's LRU tail), so
-///    concurrent dispatchers don't serialize on one cache mutex;
+///    concurrent dispatchers don't serialize on one cache mutex. The LRU
+///    and the single-flight below are common/sharded_lru.h, shared with
+///    the polygon artifact cache;
 ///  * **single-flight** — N concurrent identical queries run the join
 ///    once: the first becomes the leader and computes, the rest block on
 ///    the in-flight entry and share the leader's result (or its error);
@@ -39,12 +41,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/sharded_lru.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "query/executor.h"
@@ -107,16 +109,7 @@ struct ResultCacheOptions {
 };
 
 /// Point-in-time counters (monotone except entries/bytes_used).
-struct ResultCacheStats {
-  std::uint64_t hits = 0;            ///< served from a completed entry
-  std::uint64_t misses = 0;          ///< leader executions
-  std::uint64_t inserts = 0;         ///< entries stored
-  std::uint64_t evictions = 0;       ///< LRU/capacity removals
-  std::uint64_t shared_flights = 0;  ///< followers that waited on a leader
-  std::size_t entries = 0;           ///< currently cached
-  std::size_t bytes_used = 0;        ///< estimated payload bytes resident
-  std::size_t capacity_bytes = 0;
-};
+using ResultCacheStats = CacheStats;
 
 /// Sharded-lock LRU result cache with single-flight deduplication.
 class ResultCache {
@@ -159,58 +152,15 @@ class ResultCache {
   /// Drops every cached entry (in-flight computations are unaffected).
   void Clear();
 
-  ResultCacheStats stats() const;
-  std::size_t capacity_bytes() const { return options_.capacity_bytes; }
+  ResultCacheStats stats() const { return lru_.stats(); }
+  std::size_t capacity_bytes() const { return lru_.capacity_bytes(); }
 
   /// Estimated resident bytes of one entry (payload vectors + key +
   /// bookkeeping) — the unit of the byte-accounted capacity.
   static std::size_t EntryBytes(const CacheKey& key, const QueryResult& result);
 
  private:
-  struct Entry {
-    CacheKey key;
-    std::shared_ptr<const QueryResult> value;
-    std::size_t bytes = 0;
-  };
-
-  /// One in-flight computation; followers block on `cv` until the leader
-  /// publishes a value or an error. `mutex` is strictly below the owning
-  /// shard's mutex in the hierarchy — the leader publishes under
-  /// flight->mutex only after dropping shard.mutex.
-  struct InFlight {
-    Mutex mutex;
-    CondVar cv;
-    bool done RJ_GUARDED_BY(mutex) = false;
-    Status error RJ_GUARDED_BY(mutex) = Status::OK();
-    std::shared_ptr<const QueryResult> value RJ_GUARDED_BY(mutex);
-  };
-
-  struct Shard {
-    mutable Mutex mutex;
-    /// Front = most recently used.
-    std::list<Entry> lru RJ_GUARDED_BY(mutex);
-    std::unordered_map<CacheKey, std::list<Entry>::iterator, CacheKeyHash>
-        entries RJ_GUARDED_BY(mutex);
-    std::unordered_map<CacheKey, std::shared_ptr<InFlight>, CacheKeyHash>
-        inflight RJ_GUARDED_BY(mutex);
-    std::size_t bytes RJ_GUARDED_BY(mutex) = 0;
-    std::uint64_t hits RJ_GUARDED_BY(mutex) = 0;
-    std::uint64_t misses RJ_GUARDED_BY(mutex) = 0;
-    std::uint64_t inserts RJ_GUARDED_BY(mutex) = 0;
-    std::uint64_t evictions RJ_GUARDED_BY(mutex) = 0;
-    std::uint64_t shared_flights RJ_GUARDED_BY(mutex) = 0;
-  };
-
-  Shard& ShardFor(const CacheKey& key);
-  /// Inserts under shard.mutex (held by the caller); evicts from the LRU
-  /// tail until the shard fits its capacity slice again.
-  void InsertLocked(Shard& shard, const CacheKey& key,
-                    std::shared_ptr<const QueryResult> value)
-      RJ_REQUIRES(shard.mutex);
-
-  ResultCacheOptions options_;
-  std::size_t per_shard_capacity_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  ShardedLru<CacheKey, QueryResult, CacheKeyHash> lru_;
 };
 
 /// Counters for the plan-cache layer (monotone).

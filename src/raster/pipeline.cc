@@ -306,6 +306,14 @@ void DrawPolygons(const Viewport& vp, const TriangleSoup& soup,
   }
 }
 
+FboLease DrawBoundaryCanvas(const Viewport& vp, const PolygonSet& polys,
+                            gpu::Counters* counters, ThreadPool* pool) {
+  FboLease canvas = FboPool::Shared().Acquire(vp.width(), vp.height());
+  DrawBoundaries(vp, polys, /*conservative=*/true, canvas.get(), counters,
+                 pool);
+  return canvas;
+}
+
 void DrawBoundaries(const Viewport& vp, const PolygonSet& polys,
                     bool conservative, Fbo* boundary_fbo,
                     gpu::Counters* counters, ThreadPool* pool) {

@@ -16,6 +16,7 @@
 #include "gpu/counters.h"
 #include "query/filter.h"
 #include "raster/fbo.h"
+#include "raster/fbo_pool.h"
 #include "raster/viewport.h"
 #include "triangulate/triangulation.h"
 
@@ -175,6 +176,13 @@ void DrawPolygons(const Viewport& vp, const TriangleSoup& soup,
 void DrawBoundaries(const Viewport& vp, const PolygonSet& polys,
                     bool conservative, Fbo* boundary_fbo,
                     gpu::Counters* counters, ThreadPool* pool = nullptr);
+
+/// Step 1 as a standalone polygon-side artifact: a pooled canvas the size
+/// of `vp` with DrawBoundaries' conservative outlines. The accurate joins
+/// read it; the Executor builds it once per (polygon set, canvas dim).
+FboLease DrawBoundaryCanvas(const Viewport& vp, const PolygonSet& polys,
+                            gpu::Counters* counters,
+                            ThreadPool* pool = nullptr);
 
 /// True if the boundary FBO marks pixel (x, y) as a polygon boundary.
 inline bool IsBoundaryPixel(const Fbo& boundary_fbo, std::int32_t x,

@@ -359,12 +359,15 @@ void QueryService::DispatchLoop(std::size_t slot) {
 }
 
 void QueryService::CollectFusionGroupLocked(std::vector<Pending>* group) {
-  const Pending& head = group->front();
-  Executor* executor = executors_[head.dataset].get();
+  // Copies, not a reference to group->front(): push_back below may
+  // reallocate the group.
+  const std::size_t head_dataset = group->front().dataset;
+  const SpatialAggQuery head_query = group->front().query;
+  Executor* executor = executors_[head_dataset].get();
   if (executor->source_backed()) {
     return;  // disk scans stream blocks solo (no shared resident scan)
   }
-  const JoinVariant head_variant = executor->ResolveVariant(head.query);
+  const JoinVariant head_variant = executor->ResolveVariant(head_query);
   if (head_variant != JoinVariant::kBoundedRaster &&
       head_variant != JoinVariant::kAccurateRaster) {
     return;  // index variants have no shared point scan to fuse
@@ -373,12 +376,11 @@ void QueryService::CollectFusionGroupLocked(std::vector<Pending>* group) {
   // resolved variant, and canvas. Aggregates, columns, filters, priority,
   // and §5 range requests are free per member.
   const auto compatible = [&](const Pending& p) {
-    if (p.dataset != head.dataset) return false;
+    if (p.dataset != head_dataset) return false;
     if (executor->ResolveVariant(p.query) != head_variant) return false;
     return head_variant == JoinVariant::kBoundedRaster
-               ? p.query.epsilon == head.query.epsilon
-               : p.query.accurate_canvas_dim ==
-                     head.query.accurate_canvas_dim;
+               ? p.query.epsilon == head_query.epsilon
+               : p.query.accurate_canvas_dim == head_query.accurate_canvas_dim;
   };
   for (std::deque<Pending>* lane : {&priority_, &fifo_}) {
     for (auto it = lane->begin();

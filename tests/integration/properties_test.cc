@@ -4,6 +4,7 @@
 #include <cmath>
 #include <tuple>
 
+#include "../join/accurate_side.h"
 #include "common/rng.h"
 #include "data/datasets.h"
 #include "geometry/pip.h"
@@ -57,8 +58,10 @@ TEST_P(ExactVariantsProperty, AccurateAndIndexJoinsMatchReference) {
   dev_options.num_workers = 1;
   gpu::Device device(dev_options);
 
-  auto accurate = AccurateRasterJoin(&device, w.points, w.polys, w.soup,
-                                     w.extent, AccurateRasterJoinOptions{});
+  auto accurate = AccurateRasterJoin(
+      &device, w.points, w.polys, w.soup,
+      testutil::BuildAccurateSide(&device, w.polys, w.extent).get(), w.extent,
+      AccurateRasterJoinOptions{});
   ASSERT_TRUE(accurate.ok());
   auto idx = IndexJoinDevice(&device, w.points, w.polys, w.extent,
                              IndexJoinOptions{});

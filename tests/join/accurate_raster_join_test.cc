@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "accurate_side.h"
 #include "common/rng.h"
 #include "data/datasets.h"
 #include "data/taxi_generator.h"
@@ -52,8 +53,10 @@ TEST(AccurateRasterJoinTest, ExactlyMatchesReferenceCount) {
   JoinSetup s = MakeSetup(8, 10000, 21);
   gpu::Device device = MakeDevice();
   AccurateRasterJoinOptions options;
-  auto result = AccurateRasterJoin(&device, s.points, s.polys, s.soup,
-                                   s.world, options);
+  auto result = AccurateRasterJoin(
+      &device, s.points, s.polys, s.soup,
+      testutil::BuildAccurateSide(&device, s.polys, s.world).get(), s.world,
+      options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   const JoinResult exact =
@@ -69,8 +72,10 @@ TEST(AccurateRasterJoinTest, ExactlyMatchesReferenceSumMinMax) {
   gpu::Device device = MakeDevice();
   AccurateRasterJoinOptions options;
   options.weight_column = 0;
-  auto result = AccurateRasterJoin(&device, s.points, s.polys, s.soup,
-                                   s.world, options);
+  auto result = AccurateRasterJoin(
+      &device, s.points, s.polys, s.soup,
+      testutil::BuildAccurateSide(&device, s.polys, s.world).get(), s.world,
+      options);
   ASSERT_TRUE(result.ok());
 
   const JoinResult exact = ReferenceJoin(s.points, s.polys, FilterSet(), 0);
@@ -91,8 +96,10 @@ TEST(AccurateRasterJoinTest, ExactUnderFilters) {
   AccurateRasterJoinOptions options;
   ASSERT_TRUE(options.filters.Add({0, FilterOp::kGreater, 40.0f}).ok());
   ASSERT_TRUE(options.filters.Add({0, FilterOp::kLessEqual, 90.0f}).ok());
-  auto result = AccurateRasterJoin(&device, s.points, s.polys, s.soup,
-                                   s.world, options);
+  auto result = AccurateRasterJoin(
+      &device, s.points, s.polys, s.soup,
+      testutil::BuildAccurateSide(&device, s.polys, s.world).get(), s.world,
+      options);
   ASSERT_TRUE(result.ok());
 
   const JoinResult exact =
@@ -108,8 +115,10 @@ TEST(AccurateRasterJoinTest, FarFewerPipTestsThanPoints) {
   gpu::Device device = MakeDevice();
   AccurateRasterJoinOptions options;
   AccurateRasterJoinStats stats;
-  auto result = AccurateRasterJoin(&device, s.points, s.polys, s.soup,
-                                   s.world, options, &stats);
+  auto result = AccurateRasterJoin(
+      &device, s.points, s.polys, s.soup,
+      testutil::BuildAccurateSide(&device, s.polys, s.world).get(), s.world,
+      options, &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(stats.interior_points, 0u);
   EXPECT_LT(stats.boundary_points, s.points.size() / 2);
@@ -122,8 +131,10 @@ TEST(AccurateRasterJoinTest, BatchingPreservesExactness) {
   options.batch_size = 499;
   gpu::Device device = MakeDevice();
   AccurateRasterJoinStats stats;
-  auto result = AccurateRasterJoin(&device, s.points, s.polys, s.soup,
-                                   s.world, options, &stats);
+  auto result = AccurateRasterJoin(
+      &device, s.points, s.polys, s.soup,
+      testutil::BuildAccurateSide(&device, s.polys, s.world).get(), s.world,
+      options, &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(stats.num_batches, 10u);
 
@@ -155,8 +166,10 @@ TEST(AccurateRasterJoinTest, OverlappingPolygonsBothCounted) {
 
   gpu::Device device = MakeDevice();
   AccurateRasterJoinOptions options;
-  auto result = AccurateRasterJoin(&device, s.points, s.polys, s.soup,
-                                   s.world, options);
+  auto result = AccurateRasterJoin(
+      &device, s.points, s.polys, s.soup,
+      testutil::BuildAccurateSide(&device, s.polys, s.world).get(), s.world,
+      options);
   ASSERT_TRUE(result.ok());
   const JoinResult exact =
       ReferenceJoin(s.points, s.polys, FilterSet(), PointTable::npos);
@@ -178,8 +191,10 @@ TEST(AccurateRasterJoinTest, SkewedDataExact) {
 
   gpu::Device device = MakeDevice();
   AccurateRasterJoinOptions options;
-  auto result = AccurateRasterJoin(&device, s.points, s.polys, s.soup,
-                                   s.world, options);
+  auto result = AccurateRasterJoin(
+      &device, s.points, s.polys, s.soup,
+      testutil::BuildAccurateSide(&device, s.polys, s.world).get(), s.world,
+      options);
   ASSERT_TRUE(result.ok());
   const JoinResult exact =
       ReferenceJoin(s.points, s.polys, FilterSet(), PointTable::npos);
@@ -210,8 +225,10 @@ TEST(AccurateRasterJoinTest, PointsExactlyOnPolygonEdges) {
 
   gpu::Device device = MakeDevice();
   AccurateRasterJoinOptions options;
-  auto result = AccurateRasterJoin(&device, s.points, s.polys, s.soup,
-                                   s.world, options);
+  auto result = AccurateRasterJoin(
+      &device, s.points, s.polys, s.soup,
+      testutil::BuildAccurateSide(&device, s.polys, s.world).get(), s.world,
+      options);
   ASSERT_TRUE(result.ok());
   const JoinResult exact =
       ReferenceJoin(s.points, s.polys, FilterSet(), PointTable::npos);

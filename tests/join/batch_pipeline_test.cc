@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "accurate_side.h"
 #include "common/rng.h"
 #include "data/datasets.h"
 #include "join/index_join.h"
@@ -202,16 +203,19 @@ TEST(BatchPipelineTest, AccurateAndIndexJoinsOverlapBitwiseIdentical) {
   AccurateRasterJoinOptions acc;
   acc.weight_column = 0;
   acc.batch_size = 701;
-  acc.canvas_dim = 256;
   acc.overlap_transfers = false;
   gpu::Device d1 = MakeDevice(2);
-  auto acc_off = AccurateRasterJoin(&d1, s.points, s.polys, s.soup, s.world,
-                                    acc);
+  auto acc_off = AccurateRasterJoin(
+      &d1, s.points, s.polys, s.soup,
+      testutil::BuildAccurateSide(&d1, s.polys, s.world, 256).get(), s.world,
+      acc);
   ASSERT_TRUE(acc_off.ok());
   acc.overlap_transfers = true;
   gpu::Device d2 = MakeDevice(2);
-  auto acc_on = AccurateRasterJoin(&d2, s.points, s.polys, s.soup, s.world,
-                                   acc);
+  auto acc_on = AccurateRasterJoin(
+      &d2, s.points, s.polys, s.soup,
+      testutil::BuildAccurateSide(&d2, s.polys, s.world, 256).get(), s.world,
+      acc);
   ASSERT_TRUE(acc_on.ok());
   ExpectIdenticalArrays(acc_off.value().arrays, acc_on.value().arrays);
   EXPECT_EQ(d1.counters().bytes_transferred(),

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "accurate_side.h"
 #include "common/rng.h"
 #include "data/block_file.h"
 #include "data/datasets.h"
@@ -165,18 +166,21 @@ TEST(BlockSourceDeterminism, AccurateMatchesInMemory) {
 
   AccurateRasterJoinOptions options;
   options.weight_column = 0;
-  options.canvas_dim = 256;
   gpu::Device ref_device = MakeDevice(2);
-  auto ref = AccurateRasterJoin(&ref_device, rows.value(), s.polys, s.soup,
-                                s.world, options);
+  auto ref = AccurateRasterJoin(
+      &ref_device, rows.value(), s.polys, s.soup,
+      testutil::BuildAccurateSide(&ref_device, s.polys, s.world, 256).get(),
+      s.world, options);
   ASSERT_TRUE(ref.ok());
 
   for (const bool prune : {false, true}) {
     options.enable_block_pruning = prune;
     gpu::Device device = MakeDevice(2);
     AccurateRasterJoinStats stats;
-    auto result = AccurateRasterJoin(&device, *source, s.polys, s.soup,
-                                     s.world, options, &stats);
+    auto result = AccurateRasterJoin(
+        &device, *source, s.polys, s.soup,
+        testutil::BuildAccurateSide(&device, s.polys, s.world, 256).get(),
+        s.world, options, &stats);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectIdenticalArrays(ref.value().arrays, result.value().arrays);
     // Exactness: pruning may not change the exact-PIP workload either.
@@ -389,13 +393,17 @@ TEST(BlockSourceDeterminism, StreamingAddSourceMatchesAddBatchAndOneShot) {
   // The accurate streaming variant gets the same treatment.
   AccurateRasterJoinOptions acc;
   acc.weight_column = 0;
-  acc.canvas_dim = 256;
   gpu::Device d4 = MakeDevice();
-  auto acc_one_shot = AccurateRasterJoin(&d4, *source, s.polys, s.soup,
-                                         s.world, acc);
+  auto acc_one_shot = AccurateRasterJoin(
+      &d4, *source, s.polys, s.soup,
+      testutil::BuildAccurateSide(&d4, s.polys, s.world, 256).get(), s.world,
+      acc);
   ASSERT_TRUE(acc_one_shot.ok());
   gpu::Device d5 = MakeDevice();
-  StreamingAccurateJoin acc_stream(&d5, &s.polys, &s.soup, s.world, acc);
+  const testutil::OwnedAccurateSide d5_side =
+      testutil::BuildAccurateSide(&d5, s.polys, s.world, 256);
+  StreamingAccurateJoin acc_stream(&d5, &s.polys, &s.soup, d5_side.get(),
+                                   s.world, acc);
   ASSERT_TRUE(acc_stream.Init().ok());
   ASSERT_TRUE(acc_stream.AddSource(*source).ok());
   auto acc_from_source = acc_stream.Finish();

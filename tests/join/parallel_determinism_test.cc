@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "accurate_side.h"
 #include "agg/aggregate.h"
 #include "agg/result_range.h"
 #include "common/rng.h"
@@ -117,19 +118,24 @@ TEST(ParallelDeterminismTest, AccurateJoinMatchesAcrossThreadCounts) {
   JoinSetup s = MakeSetup(8, 20000, 13);
   AccurateRasterJoinOptions options;
   options.weight_column = 0;
-  options.canvas_dim = 512;
 
   gpu::Device one = MakeDevice(1);
   AccurateRasterJoinStats stats1;
-  auto r1 = AccurateRasterJoin(&one, s.points, s.polys, s.soup, s.world,
-                               options, &stats1);
+  auto r1 = AccurateRasterJoin(
+      &one, s.points, s.polys, s.soup,
+      testutil::BuildAccurateSide(&one, s.polys, s.world, 512).get(), s.world,
+      options, &stats1);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
 
   for (const std::size_t workers : {2, 8}) {
     gpu::Device many = MakeDevice(workers);
     AccurateRasterJoinStats stats_n;
-    auto rn = AccurateRasterJoin(&many, s.points, s.polys, s.soup, s.world,
-                                 options, &stats_n);
+    // The polygon side is drawn on the multi-worker pool too: its marks
+    // are worker-count independent.
+    auto rn = AccurateRasterJoin(
+        &many, s.points, s.polys, s.soup,
+        testutil::BuildAccurateSide(&many, s.polys, s.world, 512).get(),
+        s.world, options, &stats_n);
     ASSERT_TRUE(rn.ok()) << rn.status().ToString();
     ExpectIdentical(r1.value().arrays, rn.value().arrays);
     EXPECT_EQ(stats1.boundary_points, stats_n.boundary_points);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "accurate_side.h"
 #include "common/rng.h"
 #include "data/datasets.h"
 #include "triangulate/triangulation.h"
@@ -102,8 +103,10 @@ TEST(StreamingAccurateJoinTest, MatchesReferenceExactly) {
   options.weight_column = 0;
 
   gpu::Device device = StreamDevice();
-  StreamingAccurateJoin streaming(&device, &s.polys, &s.soup, s.world,
-                                  options);
+  const testutil::OwnedAccurateSide side =
+      testutil::BuildAccurateSide(&device, s.polys, s.world);
+  StreamingAccurateJoin streaming(&device, &s.polys, &s.soup, side.get(),
+                                  s.world, options);
   ASSERT_TRUE(streaming.Init().ok());
   for (std::size_t b = 0; b < s.points.size(); b += 777) {
     ASSERT_TRUE(

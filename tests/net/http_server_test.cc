@@ -232,6 +232,38 @@ TEST(HttpServerTest, ErrorMappingFollowsTheStatusContract) {
       << invalid.value().body;
 }
 
+TEST(HttpServerTest, OversizeAccurateCanvasIsABadRequest) {
+  Dataset data = MakeDataset(4, 500, 10);
+  Stack stack(&data);
+  HttpClient client("127.0.0.1", stack.server->port());
+
+  // A canvas above the device's max_fbo_dim (1024 here) would need two
+  // 40000² canvases (~50 GB): rejected with 400 before any allocation.
+  const QuerySpec huge = QuerySpecBuilder()
+                             .Dataset("taxi")
+                             .Count()
+                             .Variant(JoinVariant::kAccurateRaster)
+                             .CanvasDim(40000)
+                             .Build()
+                             .value();
+  Result<HttpClientResponse> rejected =
+      client.Post("/v1/query", PostBody(huge));
+  ASSERT_TRUE(rejected.ok());
+  EXPECT_EQ(rejected.value().status, 400);
+  EXPECT_NE(rejected.value().body.find("max_fbo_dim"), std::string::npos)
+      << rejected.value().body;
+
+  // The server is unharmed: the device limit itself is served.
+  const QuerySpec limit = QuerySpecBuilder()
+                              .Dataset("taxi")
+                              .Count()
+                              .Variant(JoinVariant::kAccurateRaster)
+                              .CanvasDim(1024)
+                              .Build()
+                              .value();
+  EXPECT_EQ(client.Post("/v1/query", PostBody(limit)).value().status, 200);
+}
+
 TEST(HttpServerTest, PerClientRateLimiting) {
   Dataset data = MakeDataset(4, 500, 11);
   QueryServerOptions options;
